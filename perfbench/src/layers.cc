@@ -29,7 +29,9 @@ lacb::Status ProbePolicy::BeginDay(const lacb::sim::Platform& platform,
   }
   Clock::time_point t0 = Clock::now();
   lacb::Status st = inner_->BeginDay(platform, day);
-  ledger_.begin_seconds.push_back(Seconds(t0, Clock::now()));
+  const double begin = Seconds(t0, Clock::now());
+  ledger_.begin_seconds.push_back(begin);
+  ledger_.day_policy_seconds.push_back(begin);
   LACB_RETURN_NOT_OK(st);
   const size_t n = platform.num_brokers();
   ledger_.brokers_estimated += n;
@@ -41,6 +43,7 @@ lacb::Status ProbePolicy::BeginDay(const lacb::sim::Platform& platform,
   capacities_ = inner_->capacities();
   counted_.assign(n, 0.0);
   edges_.clear();
+  ledger_.batch_self_seconds.push_back(0.0);
   day_started_ = Clock::now();
   return lacb::Status::OK();
 }
@@ -49,7 +52,12 @@ lacb::Result<std::vector<int64_t>> ProbePolicy::AssignBatch(
     const lp::BatchInput& input) {
   Clock::time_point t0 = Clock::now();
   lacb::Result<std::vector<int64_t>> out = inner_->AssignBatch(input);
-  ledger_.batch_seconds.push_back(Seconds(t0, Clock::now()));
+  const Clock::time_point t1 = Clock::now();
+  const double inner = Seconds(t0, t1);
+  ledger_.batch_seconds.push_back(inner);
+  if (!ledger_.day_policy_seconds.empty()) {
+    ledger_.day_policy_seconds.back() += inner;
+  }
   if (!out.ok()) return out;
   const lacb::la::Matrix& u = *input.utility;
   const std::vector<double>& w = *input.workloads;
@@ -78,11 +86,14 @@ lacb::Result<std::vector<int64_t>> ProbePolicy::AssignBatch(
       edges_.push_back(Edge{b, u(r, b)});
     }
   }
+  if (!ledger_.batch_self_seconds.empty()) {
+    ledger_.batch_self_seconds.back() += Seconds(t1, Clock::now());
+  }
   return out;
 }
 
 lacb::Status ProbePolicy::EndDay(const lacb::sim::DayOutcome& outcome) {
-  ledger_.in_day_seconds += Seconds(day_started_, Clock::now());
+  ledger_.in_day_seconds.push_back(Seconds(day_started_, Clock::now()));
   if (options_.check) {
     Violations v = CheckDayWorkloads(counted_, outcome.per_broker_workload,
                                      capacities_);
@@ -100,7 +111,11 @@ lacb::Status ProbePolicy::EndDay(const lacb::sim::DayOutcome& outcome) {
   }
   Clock::time_point t0 = Clock::now();
   lacb::Status st = inner_->EndDay(outcome);
-  ledger_.end_seconds.push_back(Seconds(t0, Clock::now()));
+  const double end = Seconds(t0, Clock::now());
+  ledger_.end_seconds.push_back(end);
+  if (!ledger_.day_policy_seconds.empty()) {
+    ledger_.day_policy_seconds.back() += end;
+  }
   return st;
 }
 

@@ -29,7 +29,14 @@ struct PolicyLedger {
   std::vector<double> begin_seconds;  ///< inner BeginDay, per day
   std::vector<double> end_seconds;    ///< inner EndDay, per day
   std::vector<double> daily_utility;  ///< DayOutcome::realized_utility
-  double in_day_seconds = 0.0;  ///< Σ BeginDay return → EndDay entry
+  /// Inner BeginDay + Σ AssignBatch + EndDay, per day: the policy's own
+  /// time, without the wrapper's bookkeeping.
+  std::vector<double> day_policy_seconds;
+  /// BeginDay return → EndDay entry, per day.
+  std::vector<double> in_day_seconds;
+  /// The wrapper's own work inside AssignBatch (checks, capture), per
+  /// day; in_day_seconds includes it.
+  std::vector<double> batch_self_seconds;
   uint64_t requests = 0;
   uint64_t brokers_estimated = 0;  ///< Σ over days of brokers estimated
   uint64_t trials_trained = 0;     ///< Σ over days of trials with work

@@ -141,7 +141,7 @@ lacb::Status AddOfflineLayerMetrics(const lacb::sim::DatasetConfig& data,
 
 lacb::Status RunOffline(const Args& args,
                         const std::vector<lacb::sim::DatasetConfig>& instances,
-                        size_t min_horizons, size_t cor1_prefix_days,
+                        size_t repeats, size_t cor1_prefix_days,
                         Report* report) {
   const lacb::sim::DatasetConfig& data = instances.front();
   if (args.trace) {
@@ -159,7 +159,7 @@ lacb::Status RunOffline(const Args& args,
     ServedPassConfig probe;
     probe.fixed_days = 1;
     probe.days = 2;
-    probe.rate = 1000.0;
+    probe.rate = kServedRate;
     probe.day_request_limit = 1000;
     probe.arrival_seed = args.seed;
     LACB_ASSIGN_OR_RETURN(ServedPass on, RunServedPass(args, data, probe));
@@ -174,26 +174,28 @@ lacb::Status RunOffline(const Args& args,
     return lacb::Status::OK();
   }
 
-  // End-to-end: whole horizons, alternating over the seed's instances,
-  // until the measuring time is spent and at least min_horizons ran.
+  // End-to-end: `repeats` whole horizons per instance, alternating over
+  // the seed's instances.
   std::vector<Horizon> horizons;
-  Clock::time_point start = Clock::now();
-  while (horizons.size() < min_horizons ||
-         Seconds(start, Clock::now()) < args.seconds) {
+  for (size_t k = 0; k < repeats * instances.size(); ++k) {
     ProbeOptions options;
     if (horizons.empty()) {
       options.capture_every = 64;
       options.capture_limit = 8;
     }
     const lacb::sim::DatasetConfig& instance =
-        instances[horizons.size() % instances.size()];
-    LACB_ASSIGN_OR_RETURN(Horizon h, RunHorizon(instance, options, true));
-    horizons.push_back(std::move(h));
+        instances[k % instances.size()];
+    PinForRepeat(k / instances.size());
+    lacb::Result<Horizon> h = RunHorizon(instance, options, true);
+    Unpin();
+    LACB_RETURN_NOT_OK(h.status());
+    horizons.push_back(std::move(h).value());
   }
 
   // Timings repeat per instance; each figure keeps the fastest repeat of
   // every unit (day, batch), so a machine slowdown lasting seconds moves a
-  // figure only when it covers every repeat of that unit.
+  // figure only when it covers every repeat of that unit. Policy time is
+  // the wrapped policy's own, without the wrapper's checks.
   double policy_s = 0.0, utility = 0.0, saturated = 0.0;
   std::vector<double> batch_ms, request_ms, rollover_ms;
   for (size_t i = 0; i < instances.size(); ++i) {
@@ -217,8 +219,9 @@ lacb::Status RunOffline(const Args& args,
                                  h->run.total_utility, 1e-9),
                     report);
       if (h->ledger.batch_seconds.size() != bl.batch_seconds.size() ||
-          h->run.daily_policy_seconds.size() !=
-              base.run.daily_policy_seconds.size()) {
+          h->ledger.day_policy_seconds.size() !=
+              bl.day_policy_seconds.size() ||
+          h->ledger.in_day_seconds.size() != bl.in_day_seconds.size()) {
         report->Fail("horizons of one instance ran different batches");
         return lacb::Status::OK();
       }
@@ -226,15 +229,18 @@ lacb::Status RunOffline(const Args& args,
     }
     const double share = 1.0 / static_cast<double>(instances.size());
     utility += base.run.total_utility * share;
-    for (size_t d = 0; d < base.run.daily_policy_seconds.size(); ++d) {
+    for (size_t d = 0; d < bl.day_policy_seconds.size(); ++d) {
       policy_s += share * fastest([&](const Horizon& h) {
-        return h.run.daily_policy_seconds[d];
+        return h.ledger.day_policy_seconds[d];
       });
     }
-    saturated += share * static_cast<double>(bl.requests) /
-                 fastest([](const Horizon& h) {
-                   return h.ledger.in_day_seconds;
-                 });
+    double in_day_s = 0.0;
+    for (size_t d = 0; d < bl.in_day_seconds.size(); ++d) {
+      in_day_s += fastest([&](const Horizon& h) {
+        return h.ledger.in_day_seconds[d] - h.ledger.batch_self_seconds[d];
+      });
+    }
+    saturated += share * static_cast<double>(bl.requests) / in_day_s;
     for (size_t b = 0; b < bl.batch_seconds.size(); ++b) {
       double ms = 1e3 * fastest([&](const Horizon& h) {
         return h.ledger.batch_seconds[b];

@@ -79,14 +79,36 @@ lacb::policy::LacbPolicyConfig LacbConfig(const lacb::sim::DatasetConfig& data,
 
 // --- Workloads (each fills `report`) ------------------------------------
 
+/// \brief How often a run repeats its unit (an offline horizon, a served
+/// pass): as many units of `unit_seconds` as fit in `seconds`, at least
+/// `minimum`. `unit_seconds` is the unit's wall time on the reference
+/// machine (README.md), so the count follows from the arguments alone and
+/// two builds compared at one --seconds take their fastest repeat over the
+/// same number of repeats.
+size_t RepeatCount(double seconds, double unit_seconds, size_t minimum);
+
+/// \brief Pins the calling thread to one of the CPUs the process may use:
+/// repeat k runs on the k-th of them, modulo their count. On this kind of
+/// shared VM one vCPU can run 1.5× slower than the others for tens of
+/// seconds, and a single busy thread stays on its CPU; spreading repeats
+/// over the CPUs lets each unit's fastest repeat come from an uncontended
+/// one. Threads started while pinned inherit the pin.
+void PinForRepeat(size_t repeat);
+
+/// \brief Lets the calling thread run on every CPU it was first allowed.
+void Unpin();
+
 /// \brief Offline horizons alternate over `instances` (the reported
-/// utility is their mean), at least `min_horizons` of them.
+/// utility is their mean), `repeats` of each.
 lacb::Status RunOffline(const Args& args,
                         const std::vector<lacb::sim::DatasetConfig>& instances,
-                        size_t min_horizons, size_t cor1_prefix_days,
+                        size_t repeats, size_t cor1_prefix_days,
                         Report* report);
 
-lacb::Status RunServed(const Args& args, const lacb::sim::DatasetConfig& data,
+/// \brief Served passes alternate over `instances` (the reported figures
+/// pool them; the traced run uses the first).
+lacb::Status RunServed(const Args& args,
+                       const std::vector<lacb::sim::DatasetConfig>& instances,
                        Report* report);
 
 }  // namespace perfbench

@@ -26,7 +26,8 @@ constexpr size_t kFreeRunChunk = 2048;
 // kFreeDays free-run.
 constexpr size_t kServedDays = 7;
 constexpr size_t kFreeDays = 2;
-constexpr double kServedRate = 1500.0;
+// Wall time of one pass on the reference machine (README.md).
+constexpr double kPassSeconds = 3.2;
 
 // A fresh checkpoint directory per pass: Start() warm-restarts from any
 // checkpoint it finds, so a pass must never see another pass's files.
@@ -105,6 +106,9 @@ lacb::Result<ServedPass> RunServedPass(const Args& args,
                         serve::AssignmentService::Create(data, factory, options));
   LACB_RETURN_NOT_OK(service->Start());
   out.setup_s = Seconds(ProcessStart(), Clock::now());
+  // Only the calling thread (generator, OpenDay/CloseDay) is pinned, after
+  // Start() so that the service's own threads stay free to move.
+  PinForRepeat(config.repeat);
 
   const auto& schedule = service->platform().all_requests();
   const size_t days = std::min(config.days, schedule.size());
@@ -187,6 +191,7 @@ lacb::Result<ServedPass> RunServedPass(const Args& args,
     assign_before = assign_now;
   }
   service->Shutdown();
+  Unpin();
   LACB_RETURN_NOT_OK(status);
 
   const serve::ServeStats stats = service->Stats();
@@ -290,66 +295,87 @@ lacb::Status TraceServed(const Args& args, const lacb::sim::DatasetConfig& data,
 
 }  // namespace
 
-lacb::Status RunServed(const Args& args, const lacb::sim::DatasetConfig& data,
+lacb::Status RunServed(const Args& args,
+                       const std::vector<lacb::sim::DatasetConfig>& instances,
                        Report* report) {
   ServedPassConfig config;
   config.days = kServedDays;
   config.fixed_days = kServedDays - kFreeDays;
   config.rate = kServedRate;
   config.arrival_seed = args.seed;
-  if (args.trace) return TraceServed(args, data, config, report);
+  if (args.trace) return TraceServed(args, instances.front(), config, report);
 
-  // Whole passes until the measuring time is spent, at least four. Every
-  // timing keeps the fastest pass (per day where the figure is per day):
-  // the shared machine slows down for seconds at a time, and a figure then
-  // moves only when a slowdown covers that unit in every pass.
+  // A fixed number of whole passes per instance (RepeatCount), alternating
+  // over the instances. CPU-bound day figures (policy time, rollover) keep
+  // each day's fastest pass of its instance: the shared machine slows down
+  // for seconds at a time, and a figure then moves only when a slowdown
+  // covers that day in every pass. Latency quantiles and saturated
+  // throughput are taken per pass and reported as the median pass, so a
+  // change that shows in most passes moves them while a host stall in a
+  // few passes does not.
+  const size_t n = instances.size();
+  const size_t num_passes =
+      n * RepeatCount(args.seconds, kPassSeconds * static_cast<double>(n), 2);
   std::vector<ServedPass> passes;
-  Clock::time_point start = Clock::now();
-  while (passes.size() < 4 || Seconds(start, Clock::now()) < args.seconds) {
-    LACB_ASSIGN_OR_RETURN(ServedPass pass, RunServedPass(args, data, config));
+  while (passes.size() < num_passes) {
+    config.repeat = passes.size() / n;
+    LACB_ASSIGN_OR_RETURN(
+        ServedPass pass,
+        RunServedPass(args, instances[passes.size() % n], config));
     for (const std::string& v : pass.violations) report->Fail(v);
     report->attempted += pass.attempted;
     report->failed += pass.failed;
     passes.push_back(std::move(pass));
   }
-  auto fastest = [&](auto value) {
-    double best = value(passes.front());
-    for (const ServedPass& p : passes) best = std::min(best, value(p));
-    return best;
-  };
-  const ServedPass& first = passes.front();
-  double policy_s = 0.0, utility = 0.0, saturated = 0.0;
-  std::vector<double> latency_ms, batch_ms, rollover_ms;
-  for (size_t d = 0; d < first.day_policy_s.size(); ++d) {
-    policy_s += fastest([&](const ServedPass& p) { return p.day_policy_s[d]; });
-  }
-  for (size_t d = 0; d < first.rollover_ms.size(); ++d) {
-    rollover_ms.push_back(
-        fastest([&](const ServedPass& p) { return p.rollover_ms[d]; }));
+  double policy_s = 0.0, utility = 0.0;
+  std::vector<double> rollover_ms;
+  for (size_t i = 0; i < n; ++i) {
+    auto fastest = [&](auto value) {
+      double best = value(passes[i]);
+      for (size_t k = i; k < passes.size(); k += n) {
+        best = std::min(best, value(passes[k]));
+      }
+      return best;
+    };
+    for (size_t d = 0; d < passes[i].day_policy_s.size(); ++d) {
+      policy_s += fastest([&](const ServedPass& p) {
+                    return p.day_policy_s[d];
+                  }) /
+                  static_cast<double>(n);
+    }
+    for (size_t d = 0; d < passes[i].rollover_ms.size(); ++d) {
+      rollover_ms.push_back(
+          fastest([&](const ServedPass& p) { return p.rollover_ms[d]; }));
+    }
   }
   for (const ServedPass& p : passes) {
     utility += p.utility / static_cast<double>(passes.size());
-    saturated = std::max(saturated, p.free_requests / p.free_seconds);
-    latency_ms.insert(latency_ms.end(), p.latency_ms.begin(),
-                      p.latency_ms.end());
-    batch_ms.insert(batch_ms.end(), p.batch_latency_ms.begin(),
-                    p.batch_latency_ms.end());
   }
+  auto median_pass = [&](auto value) {
+    std::vector<double> values;
+    for (const ServedPass& p : passes) values.push_back(value(p));
+    return Median(values);
+  };
+  auto batch_quantile = [&](double q) {
+    return median_pass(
+        [&](const ServedPass& p) { return Quantile(p.batch_latency_ms, q); });
+  };
+  auto request_quantile = [&](double q) {
+    return median_pass(
+        [&](const ServedPass& p) { return Quantile(p.latency_ms, q); });
+  };
   report->Add("policy_s", policy_s, "s");
-  report->Add("batch_p50_ms", Quantile(batch_ms, 0.50), "ms");
-  report->Add("batch_p95_ms", fastest([](const ServedPass& p) {
-                return Quantile(p.batch_latency_ms, 0.95);
-              }),
-              "ms");
+  report->Add("batch_p50_ms", batch_quantile(0.50), "ms");
+  report->Add("batch_p95_ms", batch_quantile(0.95), "ms");
   report->Add("utility", utility, "utility");
-  report->Add("latency_p50_ms", Quantile(latency_ms, 0.50), "ms");
-  report->Add("latency_p95_ms", fastest([](const ServedPass& p) {
-                return Quantile(p.latency_ms, 0.95);
-              }),
-              "ms");
+  report->Add("latency_p50_ms", request_quantile(0.50), "ms");
+  report->Add("latency_p95_ms", request_quantile(0.95), "ms");
   report->Add("rollover_ms", Median(rollover_ms), "ms");
-  report->Add("saturated_rps", saturated, "req/s");
-  report->Add("setup_s", first.setup_s, "s");
+  report->Add("saturated_rps", median_pass([](const ServedPass& p) {
+                return p.free_requests / p.free_seconds;
+              }),
+              "req/s");
+  report->Add("setup_s", passes.front().setup_s, "s");
   return lacb::Status::OK();
 }
 

@@ -13,6 +13,12 @@
 
 namespace perfbench {
 
+/// \brief Offered rate of the open-loop days, in requests per second:
+/// about 40 % of the free-run saturated throughput measured in a slow
+/// period of the reference machine (README.md), so queueing and solve time
+/// show in request latency and no backlog builds up.
+inline constexpr double kServedRate = 5000.0;
+
 /// \brief Shape of one served pass.
 struct ServedPassConfig {
   /// Days [0, fixed_days) are driven open-loop at `rate` requests/s;
@@ -27,6 +33,8 @@ struct ServedPassConfig {
   bool persist = true;
   /// Wrap each replica in a ProbePolicy (traced runs only).
   bool wrap = false;
+  /// Index of this pass among the run's repeats (PinForRepeat).
+  size_t repeat = 0;
 };
 
 /// \brief What one served pass measured.
